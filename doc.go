@@ -74,8 +74,11 @@
 //	                   stationary fixed-rate points in ~100ns with zero
 //	                   allocations, ErrNeedsSimulation for everything else
 //	internal/simsrv    the paper's simulation model (Fig. 1) as a
-//	                   reusable arena: Simulator Reset/RunInto plus
-//	                   streaming replication aggregation
+//	                   reusable arena: one event loop with two server
+//	                   disciplines (partitioned fluid, or packetized
+//	                   behind a sched.Scheduler), Simulator
+//	                   Reset/RunInto, and the ordered worker pipeline
+//	                   with streaming replication aggregation
 //	internal/sweep     scenario-grid engine: (point, replication) task
 //	                   queue over a pool of per-worker arenas, with an
 //	                   Engine.Kind router (DES | Auto | Analytic) that

@@ -553,8 +553,8 @@ var TournamentPolicies = []string{"psd", "log", "downgrade", "hesrpt"}
 // 4: lognormal×flash). The downgrading policy's ladder holds the gate
 // open until every rung is engaged, so its shed rate reads the residual
 // overload degradation could not absorb; heSRPT runs on the packetized
-// server, which has no admission gate (its shed rate is 0 by
-// construction and its slowdowns come from size-aware scheduling).
+// server behind the same gate, and its slowdowns come from size-aware
+// scheduling.
 //
 // Replications are pinned to 1 per point: admission controllers are
 // stateful and the engine runs replications of one point concurrently,
@@ -624,7 +624,7 @@ func Figure14(opts Options) (Figure, error) {
 		YLabel: "Ratio error / slowdown / shed rate",
 		Notes: fmt.Sprintf("Cells: %v. deltas=(1,2,4), base load 85%%, surge x1.6 at t=%g; "+
 			"utilization-bound admission (bound 0.95); 1 run per cell. "+
-			"heSRPT runs packetized (no admission gate: shed rate 0).",
+			"heSRPT runs packetized.",
 			cellNames, surgeAt),
 	}
 	nCells := len(base)

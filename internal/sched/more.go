@@ -4,91 +4,6 @@ import (
 	"psd/internal/rng"
 )
 
-// SmoothWRR is the smooth weighted round-robin discipline (as popularized
-// by nginx): every selection adds each backlogged class's weight to its
-// current score, picks the highest score, and subtracts the total active
-// weight from the winner. Selection frequencies converge to the weights
-// with the smallest possible burstiness, and weights may be arbitrary
-// positive reals. Unlike SCFQ/DRR it is size-oblivious: it equalizes
-// request *counts*, not work, so with heavy-tailed sizes its achieved
-// service shares drift from the weights — an effect the substrate tests
-// quantify.
-type SmoothWRR struct {
-	classes int
-	weights []float64
-	current []float64
-	queues  []jobRing
-	backlog int
-}
-
-// NewSmoothWRR builds the scheduler with equal initial weights.
-func NewSmoothWRR(classes int) *SmoothWRR {
-	s := &SmoothWRR{
-		classes: classes,
-		weights: make([]float64, classes),
-		current: make([]float64, classes),
-		queues:  make([]jobRing, classes),
-	}
-	equalWeights(s.weights)
-	return s
-}
-
-// Name implements Scheduler.
-func (s *SmoothWRR) Name() string { return "wrr" }
-
-// SetWeights implements Scheduler.
-func (s *SmoothWRR) SetWeights(w []float64) error {
-	if err := checkWeights(w, s.classes); err != nil {
-		return err
-	}
-	copy(s.weights, w)
-	return nil
-}
-
-// Reset implements Scheduler.
-func (s *SmoothWRR) Reset() {
-	equalWeights(s.weights)
-	for i := range s.queues {
-		s.queues[i].reset()
-		s.current[i] = 0
-	}
-	s.backlog = 0
-}
-
-// Enqueue implements Scheduler.
-func (s *SmoothWRR) Enqueue(j Job) {
-	s.queues[j.Class].push(j)
-	s.backlog++
-}
-
-// Dequeue implements Scheduler.
-func (s *SmoothWRR) Dequeue() (Job, bool) {
-	if s.backlog == 0 {
-		for i := range s.current {
-			s.current[i] = 0
-		}
-		return Job{}, false
-	}
-	best := -1
-	totalActive := 0.0
-	for i := range s.queues {
-		if s.queues[i].empty() {
-			continue
-		}
-		s.current[i] += s.weights[i]
-		totalActive += s.weights[i]
-		if best == -1 || s.current[i] > s.current[best] {
-			best = i
-		}
-	}
-	s.current[best] -= totalActive
-	s.backlog--
-	return s.queues[best].pop(), true
-}
-
-// Backlog implements Scheduler.
-func (s *SmoothWRR) Backlog() int { return s.backlog }
-
 // Lottery is Waldspurger & Weihl's randomized proportional-share
 // discipline: each backlogged class holds tickets proportional to its
 // weight; a uniform draw selects the winner. Expected shares equal the
@@ -230,44 +145,9 @@ func (s *StrictPriority) Dequeue() (Job, bool) {
 // Backlog implements Scheduler.
 func (s *StrictPriority) Backlog() int { return s.backlog }
 
-// GlobalFCFS serves all classes through one arrival-ordered queue — the
-// no-differentiation control.
-type GlobalFCFS struct {
-	classes int
-	queue   jobRing
-}
-
-// NewGlobalFCFS builds the scheduler.
-func NewGlobalFCFS(classes int) *GlobalFCFS { return &GlobalFCFS{classes: classes} }
-
-// Name implements Scheduler.
-func (g *GlobalFCFS) Name() string { return "fcfs" }
-
-// SetWeights implements Scheduler (weights are irrelevant).
-func (g *GlobalFCFS) SetWeights(w []float64) error { return checkWeights(w, g.classes) }
-
-// Reset implements Scheduler.
-func (g *GlobalFCFS) Reset() { g.queue.reset() }
-
-// Enqueue implements Scheduler.
-func (g *GlobalFCFS) Enqueue(j Job) { g.queue.push(j) }
-
-// Dequeue implements Scheduler.
-func (g *GlobalFCFS) Dequeue() (Job, bool) {
-	if g.queue.empty() {
-		return Job{}, false
-	}
-	return g.queue.pop(), true
-}
-
-// Backlog implements Scheduler.
-func (g *GlobalFCFS) Backlog() int { return g.queue.len() }
-
 var (
 	_ Scheduler = (*SCFQ)(nil)
 	_ Scheduler = (*DRR)(nil)
-	_ Scheduler = (*SmoothWRR)(nil)
 	_ Scheduler = (*Lottery)(nil)
 	_ Scheduler = (*StrictPriority)(nil)
-	_ Scheduler = (*GlobalFCFS)(nil)
 )

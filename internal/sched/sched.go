@@ -11,11 +11,9 @@
 //   - SCFQ — self-clocked fair queueing, a practical packet-by-packet
 //     approximation of GPS (PGPS family)
 //   - DRR — deficit round robin
-//   - SmoothWRR — smooth weighted round robin (integer-free)
 //   - Lottery — randomized proportional share
 //   - StrictPriority — the related-work baseline that provably cannot
 //     hold quality spacings (§5)
-//   - GlobalFCFS — no differentiation at all
 //
 // A fluid GPS reference (GPSFinishTimes) computes exact fluid completion
 // times for conformance tests: packetized schedules must track the fluid
@@ -107,7 +105,6 @@ type jobRing struct {
 	n    int
 }
 
-func (q *jobRing) len() int    { return q.n }
 func (q *jobRing) empty() bool { return q.n == 0 }
 
 func (q *jobRing) push(j Job) {

@@ -93,49 +93,6 @@ func TestDRRQuantumValidation(t *testing.T) {
 	}
 }
 
-func TestSmoothWRRCountShares(t *testing.T) {
-	// WRR equalizes counts: with unit sizes, work shares equal weights.
-	weights := []float64{0.5, 0.25, 0.25}
-	shares := drainShares(t, NewSmoothWRR(3), weights, unit(t), 20000, 4)
-	for c, w := range weights {
-		if math.Abs(shares[c]-w) > 0.02 {
-			t.Errorf("class %d share %v, want %v", c, shares[c], w)
-		}
-	}
-}
-
-func TestSmoothWRRSizeObliviousness(t *testing.T) {
-	// With heavy-tailed sizes the count-based WRR still hits count
-	// shares but the *work* shares wander; document the limitation by
-	// asserting only the count shares.
-	s := NewSmoothWRR(2)
-	if err := s.SetWeights([]float64{0.75, 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(5)
-	sizes := dist.PaperDefault()
-	counts := [2]int{}
-	occupancy := [2]int{}
-	for i := 0; i < 40000; i++ {
-		for c := 0; c < 2; c++ {
-			for occupancy[c] < 8 {
-				s.Enqueue(Job{Class: c, Size: sizes.Sample(src)})
-				occupancy[c]++
-			}
-		}
-		j, ok := s.Dequeue()
-		if !ok {
-			t.Fatal("idle with backlog")
-		}
-		occupancy[j.Class]--
-		counts[j.Class]++
-	}
-	frac := float64(counts[0]) / float64(counts[0]+counts[1])
-	if math.Abs(frac-0.75) > 0.02 {
-		t.Fatalf("count share %v, want 0.75", frac)
-	}
-}
-
 func TestLotteryShares(t *testing.T) {
 	l := NewLottery(2, rng.New(99))
 	weights := []float64{0.8, 0.2}
@@ -168,26 +125,9 @@ func TestStrictPriorityOrdering(t *testing.T) {
 	}
 }
 
-func TestGlobalFCFSOrder(t *testing.T) {
-	g := NewGlobalFCFS(2)
-	if err := g.SetWeights([]float64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		g.Enqueue(Job{Class: i % 2, Size: 1, Payload: i})
-	}
-	for i := 0; i < 5; i++ {
-		j, ok := g.Dequeue()
-		if !ok || j.Payload.(int) != i {
-			t.Fatalf("FCFS order violated at %d: %v", i, j.Payload)
-		}
-	}
-}
-
 func allSchedulers(classes int) []Scheduler {
 	scheds := []Scheduler{
-		NewSCFQ(classes), NewSmoothWRR(classes), NewLottery(classes, rng.New(1)),
-		NewStrictPriority(classes), NewGlobalFCFS(classes),
+		NewSCFQ(classes), NewLottery(classes, rng.New(1)), NewStrictPriority(classes),
 	}
 	d, _ := NewDRR(classes, 1)
 	return append(scheds, d)
@@ -247,7 +187,6 @@ func TestBacklogAccounting(t *testing.T) {
 func TestResetRestoresFreshBehavior(t *testing.T) {
 	build := map[string]func() Scheduler{
 		"scfq": func() Scheduler { return NewSCFQ(3) },
-		"wrr":  func() Scheduler { return NewSmoothWRR(3) },
 		"drr": func() Scheduler {
 			d, err := NewDRR(3, 2)
 			if err != nil {
@@ -256,7 +195,6 @@ func TestResetRestoresFreshBehavior(t *testing.T) {
 			return d
 		},
 		"priority": func() Scheduler { return NewStrictPriority(3) },
-		"fcfs":     func() Scheduler { return NewGlobalFCFS(3) },
 	}
 	weights := []float64{0.5, 0.3, 0.2}
 	feed := func(s Scheduler, seed uint64) []int {

@@ -64,34 +64,48 @@ func TestAdmissionProtectsOverloadedServer(t *testing.T) {
 }
 
 // TestTokenBucketAdmissionIsolation: a flood on class 2 cannot consume
-// class 1's admission capacity under per-class token buckets.
+// class 1's admission capacity under per-class token buckets. The gate
+// sits in front of both server disciplines, so the packetized model
+// counts rejections exactly like the fluid one.
 func TestTokenBucketAdmissionIsolation(t *testing.T) {
-	cfg := EqualLoadConfig([]float64{1, 2}, 0.5, nil)
-	cfg.Warmup = 1000
-	cfg.Horizon = 10000
-	cfg.Seed = 9
-	// Class 2 floods at 4× its declared share. The burst must exceed the
-	// Bounded Pareto upper bound (100): a job larger than the burst can
-	// never gather enough credit and would be rejected even from an
-	// otherwise idle class.
-	cfg.Classes[1].Lambda *= 4
-	tb, err := admission.NewTokenBucket([]float64{0.4, 0.4}, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Admission = tb
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Classes[0].Rejected != 0 {
-		t.Fatalf("well-behaved class suffered %d rejections", res.Classes[0].Rejected)
-	}
-	if res.Classes[1].Rejected == 0 {
-		t.Fatal("flooding class was not throttled")
-	}
-	if res.Classes[0].Count == 0 || res.Classes[1].Count == 0 {
-		t.Fatal("classes starved")
+	for _, tc := range []struct {
+		name string
+		run  func(Config) (*Result, error)
+	}{
+		{"fluid", Run},
+		{"packetized", func(cfg Config) (*Result, error) {
+			return RunPacketized(PacketizedConfig{Config: cfg})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := EqualLoadConfig([]float64{1, 2}, 0.5, nil)
+			cfg.Warmup = 1000
+			cfg.Horizon = 10000
+			cfg.Seed = 9
+			// Class 2 floods at 4× its declared share. The burst must
+			// exceed the Bounded Pareto upper bound (100): a job larger
+			// than the burst can never gather enough credit and would be
+			// rejected even from an otherwise idle class.
+			cfg.Classes[1].Lambda *= 4
+			tb, err := admission.NewTokenBucket([]float64{0.4, 0.4}, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Admission = tb
+			res, err := tc.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Classes[0].Rejected != 0 {
+				t.Fatalf("well-behaved class suffered %d rejections", res.Classes[0].Rejected)
+			}
+			if res.Classes[1].Rejected == 0 {
+				t.Fatal("flooding class was not throttled")
+			}
+			if res.Classes[0].Count == 0 || res.Classes[1].Count == 0 {
+				t.Fatal("classes starved")
+			}
+		})
 	}
 }
 

@@ -57,8 +57,8 @@ type Aggregate struct {
 // runs×windows, which is exactly the batch-vs-streaming trade-off the P²
 // estimator exists for. Because the consumed Result is fully copied into
 // the accumulators, the SAME Result buffer can be recycled for the next
-// replication — the worker/aggregator pipelines in RunReplications and
-// internal/sweep circulate a fixed pool of Results this way.
+// replication — RunOrdered, the pipeline behind RunReplications and
+// internal/sweep, circulates a fixed pool of Results this way.
 //
 // Add must be called in replication order (rep 0, 1, 2, …): the P²
 // markers and Welford accumulators are order-sensitive in the last few
@@ -236,17 +236,10 @@ func (a *Aggregator) Aggregate() (*Aggregate, error) {
 }
 
 // RunReplications executes n independent replications of cfg in parallel
-// across GOMAXPROCS workers and aggregates them. Each worker owns one
-// reusable Simulator arena; finished Results circulate through a small
-// recycled pool and are folded into a streaming Aggregator in strict
-// replication order, so the Aggregate is reproducible regardless of
+// across GOMAXPROCS workers and aggregates them in replication order
+// (see RunOrdered), so the Aggregate is reproducible regardless of
 // scheduling and the memory footprint is O(workers), not O(n).
 // Replication seeds derive from cfg.Seed via ReplicationSeed.
-//
-// NOTE: the jobs/out/recycle/reorder pipeline below is intentionally the
-// same shape as internal/sweep's multi-point engine (which cannot be
-// reused here — sweep imports simsrv). When changing pool sizing, error
-// ordering or channel structure, change sweep.Engine.Run in lockstep.
 func RunReplications(cfg Config, n int) (*Aggregate, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("simsrv: need at least 1 replication, got %d", n)
@@ -255,37 +248,59 @@ func RunReplications(cfg Config, n int) (*Aggregate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-
 	agg := NewAggregator(cfg)
-	workers := runtime.GOMAXPROCS(0)
+	err := RunOrdered(n, 0, func(sim *Simulator, res *Result, rep int) error {
+		if err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep)); err != nil {
+			return err
+		}
+		return sim.RunInto(res)
+	}, func(_ int, res *Result) { agg.Add(res) })
+	if err != nil {
+		return nil, err
+	}
+	return agg.Aggregate()
+}
+
+// RunOrdered executes tasks 0..n-1 over a pool of workers (≤ 0 means
+// GOMAXPROCS), each owning one Simulator arena for its whole life, and
+// hands every task's Result to fold strictly in task order. run fills
+// the Result it is given; fold must consume it, because the Result is
+// recycled for a later task once fold returns. Results circulate through
+// a fixed pool of 2×workers, so memory is O(workers) however large n
+// is. Every task runs; the first error in task order is returned
+// (deterministically) and no task at or after it is folded. With one
+// worker the tasks run sequentially on the calling goroutine.
+func RunOrdered(n, workers int, run func(sim *Simulator, res *Result, task int) error, fold func(task int, res *Result)) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 {
-		// Sequential fast path: one arena, one Result, zero goroutines.
+	if workers <= 1 {
 		var sim Simulator
 		var res Result
-		for rep := 0; rep < n; rep++ {
-			if err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep)); err != nil {
-				return nil, err
+		for task := 0; task < n; task++ {
+			if err := run(&sim, &res, task); err != nil {
+				return err
 			}
-			if err := sim.RunInto(&res); err != nil {
-				return nil, err
-			}
-			agg.Add(&res)
+			fold(task, &res)
 		}
-		return agg.Aggregate()
+		return nil
 	}
 
+	type job struct {
+		task int
+		res  *Result
+	}
 	type done struct {
-		rep int
-		res *Result
-		err error
+		task int
+		res  *Result
+		err  error
 	}
 	poolSize := 2 * workers
-	jobs := make(chan int)
-	// out is sized for every pooled Result, so worker sends never block
-	// and the in-order consumer below can never deadlock the pipeline.
+	jobs := make(chan job)
+	// out holds every pooled Result at once, so worker sends never block.
 	out := make(chan done, poolSize)
 	recycle := make(chan *Result, poolSize)
 	for i := 0; i < poolSize; i++ {
@@ -294,31 +309,31 @@ func RunReplications(cfg Config, n int) (*Aggregate, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			var sim Simulator
-			for rep := range jobs {
-				res := <-recycle
-				err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep))
-				if err == nil {
-					err = sim.RunInto(res)
-				}
-				out <- done{rep: rep, res: res, err: err}
+			for j := range jobs {
+				out <- done{task: j.task, res: j.res, err: run(&sim, j.res, j.task)}
 			}
 		}()
 	}
+	// The feeder hands out tasks in order, each already paired with a
+	// pooled Result. Invariant: a task never waits for a Result once it
+	// has left the feeder, so the head-of-line task the consumer waits
+	// for always holds one. (Workers that took a task first and a Result
+	// second could deadlock: later tasks could take every pooled Result
+	// while the head-of-line task waited for one.)
 	go func() {
-		for rep := 0; rep < n; rep++ {
-			jobs <- rep
+		for task := 0; task < n; task++ {
+			jobs <- job{task: task, res: <-recycle}
 		}
 		close(jobs)
 	}()
 
-	// Consume in replication order through a reorder buffer; the first
-	// error in replication order wins (deterministically).
+	// Consume in task order through a reorder buffer.
 	pending := make(map[int]done, workers)
 	next := 0
 	var firstErr error
 	for received := 0; received < n; received++ {
 		d := <-out
-		pending[d.rep] = d
+		pending[d.task] = d
 		for {
 			nd, ok := pending[next]
 			if !ok {
@@ -329,17 +344,14 @@ func RunReplications(cfg Config, n int) (*Aggregate, error) {
 				if nd.err != nil {
 					firstErr = nd.err
 				} else {
-					agg.Add(nd.res)
+					fold(next, nd.res)
 				}
 			}
 			recycle <- nd.res
 			next++
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return agg.Aggregate()
+	return firstErr
 }
 
 // ExpectedSystemSlowdown returns the arrival-weighted Eq. 18 prediction

@@ -13,13 +13,20 @@
 // Horizon time units; per-class slowdown is also aggregated per Window for
 // the predictability analysis (Figures 5–8).
 //
+// One event loop runs every model. Its server discipline is either the
+// paper's partitioned fluid server or a packetized server, where one
+// full-speed processor runs whole requests in the order a
+// sched.Scheduler picks; arrivals (Poisson or trace), admission, load
+// phases and the reallocation tick are the same for both.
+//
 // The execution engine is arena-based: a Simulator owns every buffer a
 // replication needs (event heap, request rings, estimator ring, per-class
 // statistics, allocator scratch, the packetized scheduler) and replays
 // them across replications via Reset+RunInto with single-digit heap
 // allocations per run. Run, RunTrace, RunPacketized and RunReplications
-// are conveniences over that arena; internal/sweep shards whole scenario
-// grids over a pool of them.
+// are conveniences over that arena; RunOrdered is the worker pipeline
+// behind RunReplications, on which internal/sweep shards whole scenario
+// grids.
 package simsrv
 
 import (
@@ -34,6 +41,7 @@ import (
 	"psd/internal/dist"
 	"psd/internal/obs"
 	"psd/internal/rng"
+	"psd/internal/sched"
 	"psd/internal/stats"
 )
 
@@ -355,9 +363,10 @@ func (q *reqQueue) grow() {
 	q.head = 0
 }
 
-// classState is one task server plus its queue, generator streams and
-// metrics. Class states live by value in the runner's arena; every
-// per-class buffer (queue ring, window series) is retained across resets.
+// classState is one class's queue, generator streams and metrics, plus
+// its task server in the fluid model. Class states live by value in the
+// runner's arena; every per-class buffer (queue ring, window series) is
+// retained across resets.
 type classState struct {
 	idx     int32 // own index, the des event payload for this class
 	cfg     ClassConfig
@@ -366,6 +375,8 @@ type classState struct {
 	arrivalRng rng.Source
 	sizeRng    rng.Source
 
+	// queue holds the fluid model's backlog (the packetized model queues
+	// in its scheduler); current is the request in service.
 	queue   reqQueue
 	current request
 	busy    bool
@@ -376,7 +387,9 @@ type classState struct {
 	curLambda   float64
 	nextArrival des.EventID
 
-	rate       float64 // nominal allocated rate
+	// rate is the allocation in effect: the nominal rate of the fluid
+	// task server, or the scheduler weight last installed (packetized).
+	rate       float64
 	effRate    float64 // effective rate (= rate unless work-conserving)
 	remaining  float64 // unfinished work of current
 	lastSync   float64 // sim time when remaining was last updated
@@ -406,24 +419,42 @@ const (
 )
 
 // runner wires the model together for one replication. It is the single
-// des.Handler for all event kinds, so scheduling an event costs no
-// allocation, and every buffer it owns survives reset() — a runner is the
-// fluid/trace half of a Simulator arena.
+// des.Handler for all event kinds and both server disciplines, so
+// scheduling an event costs no allocation, and every buffer it owns
+// survives reset() — a runner is the body of a Simulator arena.
+//
+// The discipline is the scheduler field. Nil selects the paper's
+// partitioned fluid model: every class drains its own queue at its
+// allocated rate. Non-nil selects the packetized model: one processor
+// runs whole requests at full speed, the scheduler picks the next one,
+// and allocations become its weights. The models differ only at the
+// start of service, in completion bookkeeping and when an allocation is
+// installed; arrivals, admission, the ladder, load phases, the
+// reallocation tick and result collection are shared.
 type runner struct {
 	cfg      Config
 	sim      des.Simulator
 	classes  []classState
-	workload core.Workload
 	loop     control.Loop   // the shared estimate→control→allocate plane
 	total    float64        // warmup + horizon
 	trace    []TraceRequest // non-nil only in trace mode
 	phaseIdx int            // next LoadSchedule phase to apply
+
+	// Packetized discipline (see above). busy reports that the single
+	// processor is serving a request. The default SCFQ scheduler and the
+	// stream handed to a NewScheduler factory are retained arena state.
+	scheduler   sched.Scheduler
+	busy        bool
+	ownSCFQ     *sched.SCFQ
+	ownSCFQSize int // class count ownSCFQ was built for
+	schedSrc    rng.Source
 
 	// Reallocation scratch, reused every window tick (the loop owns its
 	// own estimator/allocator buffers; these feed its Tick inputs).
 	allocDeltas   []float64
 	allocMeasured []float64
 	allocLambdas  []float64
+	allocWeights  []float64 // floored scheduler weights (packetized)
 
 	// Degradation ladder, armed only when cfg.Allocator is downgrading
 	// (core.IsDowngrading): the allocation side drives admission.Ladder
@@ -464,11 +495,6 @@ func (r *runner) HandleEvent(kind, data int32) {
 	}
 }
 
-// coreWorkload extracts the allocator-facing moments from the config.
-func coreWorkload(cfg Config) (core.Workload, error) {
-	return core.WorkloadFromDist(cfg.Service)
-}
-
 // resizeFloat returns a length-n float slice reusing s's capacity.
 // Contents are unspecified; callers overwrite every element.
 func resizeFloat(s []float64, n int) []float64 {
@@ -493,17 +519,18 @@ func floatsEqual(a, b []float64) bool {
 
 // reset re-arms the runner for one replication of cfg (already defaulted
 // and validated) with the given workload moments, reusing every retained
-// buffer. A reset runner is observationally identical to a freshly
+// buffer. pc selects the packetized discipline (nil for the fluid
+// model). A reset runner is observationally identical to a freshly
 // constructed one: the RNG streams are re-derived from cfg.Seed and the
 // event core restarts its sequence numbering, so seeded replications stay
 // bit-for-bit reproducible across arena reuse.
-func (r *runner) reset(cfg Config, w core.Workload) error {
+func (r *runner) reset(cfg Config, w core.Workload, pc *PacketizedConfig) error {
 	r.cfg = cfg
-	r.workload = w
 	r.total = cfg.Warmup + cfg.Horizon
 	r.trace = nil
 	r.phaseIdx = 0
 	r.sim.Reset()
+	r.busy = false
 	r.reallocOK = 0
 	r.reallocFail = 0
 	r.records = r.records[:0]
@@ -518,6 +545,23 @@ func (r *runner) reset(cfg Config, w core.Workload) error {
 	}
 	var src rng.Source
 	src.Reseed(cfg.Seed)
+	switch {
+	case pc == nil:
+		r.scheduler = nil
+	case pc.NewScheduler != nil:
+		// Re-derive the scheduler stream into a retained Source so a
+		// factory that returns a retained scheduler keeps the reset
+		// allocation-free (same derived state as src.Split(1000)).
+		src.SplitInto(&r.schedSrc, 1000)
+		r.scheduler = pc.NewScheduler(nc, &r.schedSrc)
+	case r.ownSCFQ != nil && r.ownSCFQSize == nc:
+		r.ownSCFQ.Reset()
+		r.scheduler = r.ownSCFQ
+	default:
+		r.ownSCFQ = sched.NewSCFQ(nc)
+		r.ownSCFQSize = nc
+		r.scheduler = r.ownSCFQ
+	}
 	for i := range r.classes {
 		cs := &r.classes[i]
 		cc := cfg.Classes[i]
@@ -551,6 +595,7 @@ func (r *runner) reset(cfg Config, w core.Workload) error {
 	r.allocDeltas = resizeFloat(r.allocDeltas, nc)
 	r.allocMeasured = resizeFloat(r.allocMeasured, nc)
 	r.allocLambdas = resizeFloat(r.allocLambdas, nc)
+	r.allocWeights = resizeFloat(r.allocWeights, nc)
 	for i, cc := range cfg.Classes {
 		r.allocDeltas[i] = cc.Delta
 	}
@@ -608,15 +653,30 @@ func (r *runner) reset(cfg Config, w core.Workload) error {
 	for i, cc := range cfg.Classes {
 		declared[i] = cc.Lambda
 	}
+	rates := declared
 	if a, err := r.loop.AllocateDeclared(declared); err == nil {
-		r.applyRates(a.Rates)
+		rates = a.Rates
 	} else {
 		for i := range declared {
 			declared[i] = 1 / float64(nc)
 		}
-		r.applyRates(declared)
 	}
-	return nil
+	return r.install(rates)
+}
+
+// start schedules a replication's first events, in a fixed order:
+// arrivals (Poisson or trace), the first reallocation tick, the first
+// LoadSchedule phase switch.
+func (r *runner) start() {
+	if r.trace != nil {
+		r.scheduleTrace(0)
+	} else {
+		for i := range r.classes {
+			r.scheduleNextArrival(i)
+		}
+	}
+	r.scheduleReallocation()
+	r.scheduleNextPhase()
 }
 
 func (r *runner) scheduleNextArrival(i int) {
@@ -649,19 +709,32 @@ func (r *runner) onArrival(i int) {
 		r.scheduleNextArrival(i)
 		return
 	}
-	r.loop.Observe(i, size)
-	cs.queue.push(request{class: i, size: size, arrival: now})
+	r.enqueue(cs, size, now)
+	r.scheduleNextArrival(i)
+}
+
+// enqueue feeds an admitted request to the estimator and the server, and
+// starts serving it when the server is idle.
+func (r *runner) enqueue(cs *classState, size, now float64) {
+	r.loop.Observe(int(cs.idx), size)
+	if r.scheduler != nil {
+		r.scheduler.Enqueue(sched.Job{Class: int(cs.idx), Size: size, Arrival: now})
+		if !r.busy {
+			r.dispatch()
+		}
+		return
+	}
+	cs.queue.push(request{class: int(cs.idx), size: size, arrival: now})
 	if !cs.busy {
 		r.startService(cs)
 		if r.cfg.WorkConserving {
 			r.recomputeEffectiveRates()
 		}
 	}
-	r.scheduleNextArrival(i)
 }
 
-// startService moves the head-of-line request into service. Callers must
-// ensure the class is idle and the queue non-empty.
+// startService moves the head-of-line request into fluid service.
+// Callers must ensure the class is idle and the queue non-empty.
 func (r *runner) startService(cs *classState) {
 	req := cs.queue.pop()
 	req.serviceStart = r.sim.Now()
@@ -711,17 +784,24 @@ func (r *runner) finishService(cs *classState) {
 	cs.busy = false
 	cs.remaining = 0
 
-	serviceDuration := now - req.serviceStart
 	delay := req.serviceStart - req.arrival
-	var slowdown float64
-	if serviceDuration > 0 {
-		slowdown = delay / serviceDuration
+	var service, slowdown float64
+	if r.scheduler != nil {
+		// Full-speed service: the request held the processor for exactly
+		// its size.
+		service = req.size
+		slowdown = delay / req.size
+	} else {
+		service = now - req.serviceStart
+		if service > 0 {
+			slowdown = delay / service
+		}
 	}
 	cs.winSlow.Add(slowdown)
 	if now >= r.cfg.Warmup {
 		cs.slow.Add(slowdown)
 		cs.delay.Add(delay)
-		cs.svc.Add(serviceDuration)
+		cs.svc.Add(service)
 		cs.windows.Observe(now-r.cfg.Warmup, slowdown)
 		if r.cfg.RecordRequests && now >= r.cfg.RecordFrom && now < r.cfg.RecordTo {
 			r.records = append(r.records, RequestRecord{
@@ -732,11 +812,25 @@ func (r *runner) finishService(cs *classState) {
 		}
 	}
 
-	if cs.queue.len() > 0 {
+	switch {
+	case r.scheduler != nil:
+		r.dispatch()
+	case cs.queue.len() > 0:
 		r.startService(cs)
-	} else if r.cfg.WorkConserving {
+	case r.cfg.WorkConserving:
 		r.recomputeEffectiveRates()
 	}
+}
+
+// install puts a new allocation into effect: the fluid model reschedules
+// its in-flight completions at the new rates, the packetized model hands
+// the vector to its scheduler as weights.
+func (r *runner) install(rates []float64) error {
+	if r.scheduler != nil {
+		return r.setWeights(rates)
+	}
+	r.applyRates(rates)
+	return nil
 }
 
 // applyRates installs a new nominal rate vector, flooring backlogged
@@ -838,11 +932,14 @@ func (r *runner) onRealloc() {
 	}
 	rates, err := r.loop.Tick(in)
 	if err == nil {
-		r.applyRates(rates)
+		err = r.install(rates)
+	}
+	if err == nil {
 		r.reallocOK++
 	} else {
-		// Transient estimate infeasibility (ρ̂ ≥ 1 at very high
-		// loads): retain the previous rates for this window.
+		// Transient estimate infeasibility (ρ̂ ≥ 1 at very high loads)
+		// or weights the scheduler refused: retain the previous
+		// allocation for this window.
 		r.reallocFail++
 	}
 	if r.ladder != nil {
@@ -864,9 +961,10 @@ func (r *runner) onRealloc() {
 }
 
 // scheduleNextPhase arms the next LoadSchedule phase switch, if any lies
-// within the run.
+// within the run. Trace replay ignores the schedule: its arrivals are
+// given.
 func (r *runner) scheduleNextPhase() {
-	if r.phaseIdx >= len(r.cfg.LoadSchedule) {
+	if r.trace != nil || r.phaseIdx >= len(r.cfg.LoadSchedule) {
 		return
 	}
 	next := r.cfg.LoadSchedule[r.phaseIdx]

@@ -3,6 +3,7 @@ package simsrv
 import (
 	"errors"
 
+	"psd/internal/core"
 	"psd/internal/rng"
 )
 
@@ -31,9 +32,7 @@ import (
 // A Simulator is single-goroutine; use one per worker (see
 // RunReplications and internal/sweep).
 type Simulator struct {
-	fluid runner
-	pk    pkRunner
-	mode  simMode
+	r     runner
 	armed bool
 	// validatedTrace remembers the last trace that passed validation (by
 	// slice identity, for the class count below), so replaying one trace
@@ -43,15 +42,6 @@ type Simulator struct {
 	validatedTraceClasses int
 }
 
-type simMode int
-
-const (
-	modeNone simMode = iota
-	modeFluid
-	modeTrace
-	modePacketized
-)
-
 // NewSimulator returns an empty arena. The zero value is also ready.
 func NewSimulator() *Simulator { return &Simulator{} }
 
@@ -59,21 +49,7 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // the given seed (overriding cfg.Seed). Defaults are applied and the
 // config validated here, so RunInto cannot fail on configuration.
 func (s *Simulator) Reset(cfg Config, seed uint64) error {
-	cfg = cfg.ApplyDefaults()
-	cfg.Seed = seed
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	w, err := coreWorkload(cfg)
-	if err != nil {
-		return err
-	}
-	if err := s.fluid.reset(cfg, w); err != nil {
-		return err
-	}
-	s.mode = modeFluid
-	s.armed = true
-	return nil
+	return s.arm(cfg, seed, nil, nil)
 }
 
 // ResetTrace arms the arena for a trace-driven replication: the trace
@@ -84,46 +60,60 @@ func (s *Simulator) Reset(cfg Config, seed uint64) error {
 // and length) is cached across resets, so replaying one trace over many
 // replications pays the O(len) checks once.
 func (s *Simulator) ResetTrace(cfg Config, trace []TraceRequest, seed uint64) error {
+	if trace == nil {
+		trace = []TraceRequest{} // still trace mode: rejected as empty
+	}
+	return s.arm(cfg, seed, trace, nil)
+}
+
+// ResetPacketized arms the arena for one packetized-server replication
+// (core.PacketizedPSD unless pc names an allocator). With the default
+// SCFQ discipline the scheduler itself is part of the arena (its packet
+// heap is retained across replications); a custom NewScheduler factory
+// is invoked fresh on every reset so stateful or randomized disciplines
+// start each replication clean.
+func (s *Simulator) ResetPacketized(pc PacketizedConfig, seed uint64) error {
+	if pc.Config.Allocator == nil {
+		// The fluid default would systematically overshoot here; make
+		// the packetized-correct allocator the default for this mode.
+		pc.Config.Allocator = core.PacketizedPSD{}
+	}
+	return s.arm(pc.Config, seed, nil, &pc)
+}
+
+// arm validates cfg under seed and resets the runner. A non-nil trace
+// selects trace replay; a non-nil pc the packetized discipline.
+func (s *Simulator) arm(cfg Config, seed uint64, trace []TraceRequest, pc *PacketizedConfig) error {
+	s.armed = false
 	cfg = cfg.ApplyDefaults()
 	cfg.Seed = seed
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	sameTrace := len(trace) > 0 && len(s.validatedTrace) == len(trace) &&
-		&s.validatedTrace[0] == &trace[0] &&
-		s.validatedTraceClasses == len(cfg.Classes)
-	if !sameTrace {
-		if err := validateTrace(cfg, trace); err != nil {
-			s.validatedTrace = nil
-			return err
-		}
-		s.validatedTrace = trace
-		s.validatedTraceClasses = len(cfg.Classes)
+	if pc != nil && cfg.WorkConserving {
+		return errors.New("simsrv: packetized mode is inherently work-conserving; WorkConserving flag is not applicable")
 	}
-	w, err := coreWorkload(cfg)
+	if trace != nil {
+		sameTrace := len(trace) > 0 && len(s.validatedTrace) == len(trace) &&
+			&s.validatedTrace[0] == &trace[0] &&
+			s.validatedTraceClasses == len(cfg.Classes)
+		if !sameTrace {
+			if err := validateTrace(cfg, trace); err != nil {
+				s.validatedTrace = nil
+				return err
+			}
+			s.validatedTrace = trace
+			s.validatedTraceClasses = len(cfg.Classes)
+		}
+	}
+	w, err := core.WorkloadFromDist(cfg.Service)
 	if err != nil {
 		return err
 	}
-	if err := s.fluid.reset(cfg, w); err != nil {
+	if err := s.r.reset(cfg, w, pc); err != nil {
 		return err
 	}
-	s.fluid.trace = trace
-	s.mode = modeTrace
-	s.armed = true
-	return nil
-}
-
-// ResetPacketized arms the arena for one packetized-server replication.
-// With the default SCFQ discipline the scheduler itself is part of the
-// arena (its packet heap is retained across replications); a custom
-// NewScheduler factory is invoked fresh on every reset so stateful or
-// randomized disciplines start each replication clean.
-func (s *Simulator) ResetPacketized(pc PacketizedConfig, seed uint64) error {
-	pc.Config.Seed = seed
-	if err := s.pk.reset(pc); err != nil {
-		return err
-	}
-	s.mode = modePacketized
+	s.r.trace = trace
 	s.armed = true
 	return nil
 }
@@ -136,37 +126,9 @@ func (s *Simulator) RunInto(res *Result) error {
 		return errors.New("simsrv: RunInto requires a prior Reset (each Reset arms one run)")
 	}
 	s.armed = false
-	switch s.mode {
-	case modeFluid:
-		r := &s.fluid
-		// Start the per-class arrival processes.
-		for i := range r.classes {
-			r.scheduleNextArrival(i)
-		}
-		// Reallocation ticks at every window boundary.
-		r.scheduleReallocation()
-		// First LoadSchedule phase switch, when configured.
-		r.scheduleNextPhase()
-		r.sim.RunUntil(r.total)
-		r.collectInto(res)
-	case modeTrace:
-		r := &s.fluid
-		r.scheduleTrace(0)
-		r.scheduleReallocation()
-		r.sim.RunUntil(r.total)
-		r.collectInto(res)
-	case modePacketized:
-		p := &s.pk
-		for i := range p.cfg.Classes {
-			p.scheduleArrival(i)
-		}
-		p.sim.Schedule(p.cfg.Window, p, pkRealloc, 0)
-		p.scheduleNextPhase()
-		p.sim.RunUntil(p.total)
-		p.collectInto(res)
-	default:
-		return errors.New("simsrv: RunInto on an unarmed simulator")
-	}
+	s.r.start()
+	s.r.sim.RunUntil(s.r.total)
+	s.r.collectInto(res)
 	return nil
 }
 

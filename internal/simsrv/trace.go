@@ -74,18 +74,10 @@ func (r *runner) scheduleTrace(idx int) {
 	r.sim.ScheduleAt(r.trace[idx].Time, r, evTraceArrival, int32(idx))
 }
 
-// onTraceArrival injects trace entry idx into its class queue and chains
-// the next entry.
+// onTraceArrival injects trace entry idx into the server and chains the
+// next entry. Trace arrivals bypass the admission gate.
 func (r *runner) onTraceArrival(idx int) {
 	tr := r.trace[idx]
-	cs := &r.classes[tr.Class]
-	r.loop.Observe(tr.Class, tr.Size)
-	cs.queue.push(request{class: tr.Class, size: tr.Size, arrival: tr.Time})
-	if !cs.busy {
-		r.startService(cs)
-		if r.cfg.WorkConserving {
-			r.recomputeEffectiveRates()
-		}
-	}
+	r.enqueue(&r.classes[tr.Class], tr.Size, tr.Time)
 	r.scheduleTrace(idx + 1)
 }

@@ -286,80 +286,6 @@ func TestP2PanicsOnBadQuantile(t *testing.T) {
 	}
 }
 
-func TestLogHistogramBinning(t *testing.T) {
-	h, err := NewLogHistogram(1, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(0.5)  // underflow
-	h.Add(150)  // overflow
-	h.Add(1)    // first bucket
-	h.Add(99.9) // last bucket
-	if h.Underflow() != 1 || h.Overflow() != 1 || h.Total() != 4 {
-		t.Fatalf("counts wrong: under=%d over=%d total=%d", h.Underflow(), h.Overflow(), h.Total())
-	}
-	_, _, c0 := h.Bucket(0)
-	_, _, c9 := h.Bucket(9)
-	if c0 != 1 || c9 != 1 {
-		t.Fatalf("bucket counts: first=%d last=%d", c0, c9)
-	}
-}
-
-func TestLogHistogramBucketBoundsGeometric(t *testing.T) {
-	h, _ := NewLogHistogram(1, 1024, 10)
-	for i := 0; i < 10; i++ {
-		lo, hi, _ := h.Bucket(i)
-		if !almostEq(hi/lo, 2, 1e-9) {
-			t.Fatalf("bucket %d ratio %v, want 2", i, hi/lo)
-		}
-	}
-}
-
-func TestLogHistogramQuantileEstimate(t *testing.T) {
-	h, _ := NewLogHistogram(0.1, 1000, 200)
-	r := rng.New(5)
-	xs := make([]float64, 0, 100000)
-	for i := 0; i < 100000; i++ {
-		x := math.Exp(r.NormFloat64()*1.2 + 1)
-		h.Add(x)
-		xs = append(xs, x)
-	}
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		exact, _ := Quantile(xs, q)
-		got := h.QuantileEstimate(q)
-		if math.Abs(got-exact)/exact > 0.05 {
-			t.Errorf("hist quantile %v = %v, exact %v", q, got, exact)
-		}
-	}
-	if !math.IsNaN((&LogHistogram{}).QuantileEstimate(0.5)) {
-		// A zero-value histogram has no observations.
-		t.Error("empty histogram quantile should be NaN")
-	}
-}
-
-func TestLogHistogramRender(t *testing.T) {
-	h, _ := NewLogHistogram(1, 10, 3)
-	h.Add(0.5)
-	h.Add(2)
-	h.Add(20)
-	out := h.Render(20)
-	if out == "" {
-		t.Fatal("empty render")
-	}
-}
-
-func TestLogHistogramValidation(t *testing.T) {
-	if _, err := NewLogHistogram(0, 10, 5); err == nil {
-		t.Error("accepted lo=0")
-	}
-	if _, err := NewLogHistogram(10, 5, 5); err == nil {
-		t.Error("accepted hi<lo")
-	}
-	if _, err := NewLogHistogram(1, 10, 0); err == nil {
-		t.Error("accepted n=0")
-	}
-}
-
 func TestWindowSeries(t *testing.T) {
 	s, err := NewWindowSeries(1000)
 	if err != nil {
@@ -441,12 +367,5 @@ func BenchmarkP2Add(b *testing.B) {
 	p := NewP2(0.95)
 	for i := 0; i < b.N; i++ {
 		p.Add(float64(i % 1000))
-	}
-}
-
-func BenchmarkLogHistogramAdd(b *testing.B) {
-	h, _ := NewLogHistogram(0.1, 1000, 100)
-	for i := 0; i < b.N; i++ {
-		h.Add(float64(i%500) + 0.5)
 	}
 }

@@ -41,7 +41,6 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"psd/internal/analytic"
 	"psd/internal/rng"
@@ -187,10 +186,8 @@ func Run(points []Point) ([]*simsrv.Aggregate, error) {
 // reorder-buffer aggregation of a pure-DES sweep: routing a grid through
 // Auto leaves every simulated point bit-identical to Kind DES.
 //
-// NOTE: the jobs/out/recycle/reorder pipeline below is intentionally the
-// same shape as simsrv.RunReplications' single-point pipeline (which
-// cannot reuse this engine — sweep imports simsrv). When changing pool
-// sizing, error ordering or channel structure, change both in lockstep.
+// Tasks run through simsrv.RunOrdered, the same ordered worker pipeline
+// as simsrv.RunReplications.
 func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: empty grid")
@@ -237,14 +234,6 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		}
 	}
 
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
-
 	// locate maps a global task index back to (point, replication).
 	locate := func(task int) (int, int) {
 		pt := 0
@@ -253,7 +242,7 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		}
 		return pt, task - offsets[pt]
 	}
-	runTask := func(sim *simsrv.Simulator, res *simsrv.Result, task int) error {
+	run := func(sim *simsrv.Simulator, res *simsrv.Result, task int) error {
 		pt, rep := locate(task)
 		p := &points[pt]
 		seed := simsrv.ReplicationSeed(p.Cfg.Seed, rep)
@@ -266,109 +255,35 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		default:
 			err = sim.Reset(p.Cfg, seed)
 		}
+		if err == nil {
+			err = sim.RunInto(res)
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("sweep: point %d rep %d: %w", pt, rep, err)
 		}
-		return sim.RunInto(res)
+		return nil
 	}
-	finalize := func() ([]*simsrv.Aggregate, error) {
-		out := make([]*simsrv.Aggregate, len(points))
-		for i, a := range aggs {
-			if a == nil {
-				out[i] = analyticAggs[i]
-				continue
-			}
-			agg, err := a.Aggregate()
-			if err != nil {
-				return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-			}
-			out[i] = agg
-		}
-		return out, nil
+	fold := func(task int, res *simsrv.Result) {
+		pt, _ := locate(task)
+		aggs[pt].Add(res)
+	}
+	if err := simsrv.RunOrdered(total, e.Workers, run, fold); err != nil {
+		return nil, err
 	}
 
-	if total == 0 {
-		// Every point solved in closed form: nothing to simulate.
-		return finalize()
-	}
-
-	if workers == 1 {
-		// Sequential fast path: one arena, one Result, zero goroutines.
-		var sim simsrv.Simulator
-		var res simsrv.Result
-		for task := 0; task < total; task++ {
-			if err := runTask(&sim, &res, task); err != nil {
-				pt, rep := locate(task)
-				return nil, fmt.Errorf("sweep: point %d rep %d: %w", pt, rep, err)
-			}
-			pt, _ := locate(task)
-			aggs[pt].Add(&res)
+	out := make([]*simsrv.Aggregate, len(points))
+	for i, a := range aggs {
+		if a == nil {
+			out[i] = analyticAggs[i]
+			continue
 		}
-		return finalize()
-	}
-
-	type done struct {
-		task int
-		res  *simsrv.Result
-		err  error
-	}
-	poolSize := 2 * workers
-	jobs := make(chan int)
-	// out holds every pooled Result at once, so worker sends never block
-	// and the in-order consumer cannot deadlock the pipeline.
-	out := make(chan done, poolSize)
-	recycle := make(chan *simsrv.Result, poolSize)
-	for i := 0; i < poolSize; i++ {
-		recycle <- new(simsrv.Result)
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			var sim simsrv.Simulator
-			for task := range jobs {
-				res := <-recycle
-				err := runTask(&sim, res, task)
-				out <- done{task: task, res: res, err: err}
-			}
-		}()
-	}
-	go func() {
-		for task := 0; task < total; task++ {
-			jobs <- task
+		agg, err := a.Aggregate()
+		if err != nil {
+			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
 		}
-		close(jobs)
-	}()
-
-	// Consume in task order through a reorder buffer; the first error in
-	// task order wins (deterministically).
-	pending := make(map[int]done, workers)
-	next := 0
-	var firstErr error
-	for received := 0; received < total; received++ {
-		d := <-out
-		pending[d.task] = d
-		for {
-			nd, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if firstErr == nil {
-				if nd.err != nil {
-					pt, rep := locate(next)
-					firstErr = fmt.Errorf("sweep: point %d rep %d: %w", pt, rep, nd.err)
-				} else {
-					pt, _ := locate(next)
-					aggs[pt].Add(nd.res)
-				}
-			}
-			recycle <- nd.res
-			next++
-		}
+		out[i] = agg
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return finalize()
+	return out, nil
 }
 
 // evalPoint routes one point: a synthesized Aggregate when the closed
