@@ -51,6 +51,14 @@ type Distribution interface {
 	// Sample draws one job size from the law using src. Implementations
 	// consume a deterministic number of variates per call wherever
 	// possible so seeded streams stay aligned across runs.
+	//
+	// Sample must be a pure function of src's stream: a law that compares
+	// equal (the same pointer, or an equal comparable value) given a
+	// Source in the same state returns the same size and leaves the
+	// Source in the same state. The law holds no draw-to-draw state of
+	// its own and is not mutated after construction. internal/simsrv
+	// relies on this to record a size stream once and replay it to every
+	// replication that derives the same stream under the same law.
 	Sample(src *rng.Source) float64
 	// String describes the law and its parameters compactly.
 	String() string

@@ -106,7 +106,17 @@ type Figure struct {
 	Notes  string
 }
 
+// paperLaw is the paper's BP(0.1, 100, 1.5), built once: points that
+// share a seed replay each other's recorded size streams only when they
+// share the law value, and a fresh PaperDefault per point is a fresh
+// pointer.
+var paperLaw = dist.PaperDefault()
+
+// config builds one equal-load point under svc (nil = the paper's law).
 func (o Options) config(deltas []float64, rho float64, svc dist.Distribution) simsrv.Config {
+	if svc == nil {
+		svc = paperLaw
+	}
 	cfg := simsrv.EqualLoadConfig(deltas, rho, svc)
 	cfg.Warmup = o.Warmup
 	cfg.Horizon = o.Horizon

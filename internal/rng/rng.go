@@ -130,10 +130,17 @@ func (r *Source) Float64Open() float64 {
 	}
 }
 
+// UnitExp returns an exponentially distributed float64 with rate 1, via
+// inverse transform.
+func (r *Source) UnitExp() float64 {
+	return -math.Log(1 - r.Float64())
+}
+
 // ExpFloat64 returns an exponentially distributed float64 with the given
-// rate (mean 1/rate), via inverse transform.
+// rate (mean 1/rate): UnitExp scaled by 1/rate, so a stream of unit
+// variates recorded once serves every rate bit for bit.
 func (r *Source) ExpFloat64(rate float64) float64 {
-	return -math.Log(1-r.Float64()) / rate
+	return r.UnitExp() / rate
 }
 
 // NormFloat64 returns a standard normal variate using the Marsaglia polar

@@ -120,6 +120,23 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
+// TestExpFloat64IsScaledUnitExp pins what recorded arrival streams rely
+// on: a rate-r draw is the unit draw divided by r, bit for bit, and both
+// consume one Float64 like the inverse transform always has.
+func TestExpFloat64IsScaledUnitExp(t *testing.T) {
+	a, b, c := New(9), New(9), New(9)
+	for i := 0; i < 10000; i++ {
+		rate := 0.1 + float64(i%7)*0.9
+		got := a.ExpFloat64(rate)
+		if unit := b.UnitExp() / rate; math.Float64bits(got) != math.Float64bits(unit) {
+			t.Fatalf("draw %d: ExpFloat64(%v) = %v, UnitExp()/rate = %v", i, rate, got, unit)
+		}
+		if old := -math.Log(1-c.Float64()) / rate; math.Float64bits(got) != math.Float64bits(old) {
+			t.Fatalf("draw %d: ExpFloat64(%v) = %v, inverse transform = %v", i, rate, got, old)
+		}
+	}
+}
+
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(8)
 	const n = 200000

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"psd/internal/stats"
 )
@@ -261,15 +262,36 @@ func RunReplications(cfg Config, n int) (*Aggregate, error) {
 	return agg.Aggregate()
 }
 
+// arenas and results keep RunOrdered's worker arenas and Result buffers
+// warm across calls: a figure runs one sweep per grid, and rebuilding
+// every arena (about 100 allocations each, plus its recorded streams)
+// per call dominated a small grid's allocations.
+var (
+	arenas  = sync.Pool{New: func() any { return new(Simulator) }}
+	results = sync.Pool{New: func() any { return new(Result) }}
+)
+
+// putArena returns a worker arena to the pool, first dropping what must
+// not outlive the call that used it: the cached trace validation (the
+// caller may mutate its trace once the call returns) and the trace
+// itself.
+func putArena(sim *Simulator) {
+	sim.validatedTrace = nil
+	sim.r.trace = nil
+	arenas.Put(sim)
+}
+
 // RunOrdered executes tasks 0..n-1 over a pool of workers (≤ 0 means
-// GOMAXPROCS), each owning one Simulator arena for its whole life, and
+// GOMAXPROCS), each owning one Simulator arena for the whole call, and
 // hands every task's Result to fold strictly in task order. run fills
 // the Result it is given; fold must consume it, because the Result is
 // recycled for a later task once fold returns. Results circulate through
 // a fixed pool of 2×workers, so memory is O(workers) however large n
 // is. Every task runs; the first error in task order is returned
 // (deterministically) and no task at or after it is folded. With one
-// worker the tasks run sequentially on the calling goroutine.
+// worker the tasks run sequentially on the calling goroutine. Arenas
+// and Results are reused across calls; every worker has returned its
+// arena by the time RunOrdered returns.
 func RunOrdered(n, workers int, run func(sim *Simulator, res *Result, task int) error, fold func(task int, res *Result)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -278,13 +300,16 @@ func RunOrdered(n, workers int, run func(sim *Simulator, res *Result, task int) 
 		workers = n
 	}
 	if workers <= 1 {
-		var sim Simulator
-		var res Result
+		sim, res := arenas.Get().(*Simulator), results.Get().(*Result)
+		defer func() {
+			putArena(sim)
+			results.Put(res)
+		}()
 		for task := 0; task < n; task++ {
-			if err := run(&sim, &res, task); err != nil {
+			if err := run(sim, res, task); err != nil {
 				return err
 			}
-			fold(task, &res)
+			fold(task, res)
 		}
 		return nil
 	}
@@ -304,13 +329,17 @@ func RunOrdered(n, workers int, run func(sim *Simulator, res *Result, task int) 
 	out := make(chan done, poolSize)
 	recycle := make(chan *Result, poolSize)
 	for i := 0; i < poolSize; i++ {
-		recycle <- new(Result)
+		recycle <- results.Get().(*Result)
 	}
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			var sim Simulator
+			defer wg.Done()
+			sim := arenas.Get().(*Simulator)
+			defer putArena(sim)
 			for j := range jobs {
-				out <- done{task: j.task, res: j.res, err: run(&sim, j.res, j.task)}
+				out <- done{task: j.task, res: j.res, err: run(sim, j.res, j.task)}
 			}
 		}()
 	}
@@ -351,6 +380,12 @@ func RunOrdered(n, workers int, run func(sim *Simulator, res *Result, task int) 
 			next++
 		}
 	}
+	// Every task is consumed, so the feeder has taken its last Result
+	// and the whole pool sits in recycle.
+	for i := 0; i < poolSize; i++ {
+		results.Put(<-recycle)
+	}
+	wg.Wait()
 	return firstErr
 }
 

@@ -368,12 +368,13 @@ func (q *reqQueue) grow() {
 // runner's arena; every per-class buffer (queue ring, window series) is
 // retained across resets.
 type classState struct {
-	idx     int32 // own index, the des event payload for this class
-	cfg     ClassConfig
-	service dist.Distribution
+	idx int32 // own index, the des event payload for this class
+	cfg ClassConfig
 
-	arrivalRng rng.Source
-	sizeRng    rng.Source
+	// arrivals and sizes are the class's two random streams, replayed
+	// from an earlier replication that derived the same ones.
+	arrivals variateMemo
+	sizes    variateMemo
 
 	// queue holds the fluid model's backlog (the packetized model queues
 	// in its scheduler); current is the request in service.
@@ -520,14 +521,16 @@ func floatsEqual(a, b []float64) bool {
 // reset re-arms the runner for one replication of cfg (already defaulted
 // and validated) with the given workload moments, reusing every retained
 // buffer. pc selects the packetized discipline (nil for the fluid
-// model). A reset runner is observationally identical to a freshly
-// constructed one: the RNG streams are re-derived from cfg.Seed and the
-// event core restarts its sequence numbering, so seeded replications stay
-// bit-for-bit reproducible across arena reuse.
-func (r *runner) reset(cfg Config, w core.Workload, pc *PacketizedConfig) error {
+// model), a non-nil trace replaces the Poisson generators. A reset
+// runner is observationally identical to a freshly constructed one: the
+// RNG streams are re-derived from cfg.Seed (and replayed when an earlier
+// replication derived the same ones) and the event core restarts its
+// sequence numbering, so seeded replications stay bit-for-bit
+// reproducible across arena reuse.
+func (r *runner) reset(cfg Config, w core.Workload, pc *PacketizedConfig, trace []TraceRequest) error {
 	r.cfg = cfg
 	r.total = cfg.Warmup + cfg.Horizon
-	r.trace = nil
+	r.trace = trace
 	r.phaseIdx = 0
 	r.sim.Reset()
 	r.busy = false
@@ -571,9 +574,14 @@ func (r *runner) reset(cfg Config, w core.Workload, pc *PacketizedConfig) error 
 		}
 		cs.idx = int32(i)
 		cs.cfg = cc
-		cs.service = svc
-		src.SplitInto(&cs.arrivalRng, uint64(2*i+1))
-		src.SplitInto(&cs.sizeRng, uint64(2*i+2))
+		if trace == nil {
+			n := r.expectedArrivals(i)
+			var stream rng.Source
+			src.SplitInto(&stream, uint64(2*i+1))
+			cs.arrivals.rewind(&stream, nil, n)
+			src.SplitInto(&stream, uint64(2*i+2))
+			cs.sizes.rewind(&stream, svc, n)
+		}
 		cs.queue.reset()
 		cs.current = request{}
 		cs.busy = false
@@ -679,13 +687,29 @@ func (r *runner) start() {
 	r.scheduleNextPhase()
 }
 
+// expectedArrivals is the mean number of draws class i's arrival stream
+// makes over the run: one per Poisson arrival under the LoadSchedule's
+// rates, plus the redraw at every phase switch.
+func (r *runner) expectedArrivals(i int) float64 {
+	base := r.cfg.Classes[i].Lambda
+	lambda, from, n := base, 0.0, 1.0
+	for _, ph := range r.cfg.LoadSchedule {
+		if ph.Start > r.total {
+			break
+		}
+		n += lambda*(ph.Start-from) + 1
+		lambda, from = base*ph.scaleFor(i), ph.Start
+	}
+	return n + lambda*(r.total-from)
+}
+
 func (r *runner) scheduleNextArrival(i int) {
 	cs := &r.classes[i]
 	cs.nextArrival = des.None
 	if cs.curLambda <= 0 {
 		return
 	}
-	delay := cs.arrivalRng.ExpFloat64(cs.curLambda)
+	delay := cs.arrivals.unitExp() / cs.curLambda
 	cs.nextArrival = r.sim.Schedule(delay, r, evArrival, cs.idx)
 }
 
@@ -695,7 +719,7 @@ func (r *runner) scheduleNextArrival(i int) {
 func (r *runner) onArrival(i int) {
 	cs := &r.classes[i]
 	now := r.sim.Now()
-	size := cs.service.Sample(&cs.sizeRng)
+	size := cs.sizes.sample()
 	// With a degradation ladder armed, the admission gate stays open
 	// until every rung is engaged — degrade first, shed only when
 	// degradation has nothing left to give (same ordering as the live

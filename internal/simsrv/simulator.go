@@ -28,6 +28,11 @@ import (
 // re-derives the random streams from the seed and restarts event sequence
 // numbering, so arena reuse is bit-for-bit identical to fresh
 // construction — the golden tests in determinism_test.go pin this.
+// Each class's arrival and size streams are recorded as they are drawn
+// and replayed when a later Reset derives the same stream (same seed and
+// class; for sizes, the same service law), which is what makes running
+// every policy or load of one seed back to back cheap. The recording
+// costs at most one replication's draws, 16 B per arrival.
 //
 // A Simulator is single-goroutine; use one per worker (see
 // RunReplications and internal/sweep).
@@ -110,10 +115,9 @@ func (s *Simulator) arm(cfg Config, seed uint64, trace []TraceRequest, pc *Packe
 	if err != nil {
 		return err
 	}
-	if err := s.r.reset(cfg, w, pc); err != nil {
+	if err := s.r.reset(cfg, w, pc, trace); err != nil {
 		return err
 	}
-	s.r.trace = trace
 	s.armed = true
 	return nil
 }

@@ -7,12 +7,18 @@
 // used to dominate everything outside the event loop.
 //
 // The engine differs from the per-point simsrv.RunReplications fan-out it
-// replaces in three ways:
+// replaces in four ways:
 //
 //   - One global (point, replication) task queue spans the whole grid, so
 //     workers never idle at per-point barriers: while one worker finishes
 //     the last replication of point k, the rest are already deep into
 //     point k+1.
+//   - The queue is seed-group-major. Points sharing a base seed (every
+//     policy of a Tournament, every point of a figure) draw bit-identical
+//     per-class arrival and size streams, so the queue runs replication r
+//     of every member of a seed group before replication r+1, and each
+//     worker arena records a (group, replication) stream once and replays
+//     it to the members it runs next.
 //   - Each worker owns one simsrv.Simulator arena for the entire sweep —
 //     rings, pooled statistics, estimator scratch, the packetized packet
 //     heap — so a replication costs single-digit heap allocations instead
@@ -176,8 +182,16 @@ func Run(points []Point) ([]*simsrv.Aggregate, error) {
 // Run executes every point's replications and returns one Aggregate per
 // point, in point order. All configurations are validated up front
 // (traces are validated by each worker's arena once, on its first
-// replication of the point); an execution error (first in task order,
-// deterministically) aborts the sweep.
+// replication of the point); an execution error aborts the sweep.
+//
+// Tasks run seed-group-major: points sharing Cfg.Seed form a group,
+// groups run in order of first appearance, and within a group
+// replication r of every member (in point order) runs before
+// replication r+1. Each point still folds its replications in order
+// 0..Runs-1, so aggregates do not depend on the order. The error
+// returned is the first in that task order, deterministically: with
+// several failing points it is the earliest failing (group,
+// replication, point), not necessarily the lowest point index.
 //
 // In Auto and Analytic kinds, analytic-eligible points are solved inline
 // from the closed forms before the replication pipeline starts — they
@@ -193,7 +207,6 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		return nil, fmt.Errorf("sweep: empty grid")
 	}
 	total := 0
-	offsets := make([]int, len(points))
 	aggs := make([]*simsrv.Aggregator, len(points))
 	var analyticAggs []*simsrv.Aggregate
 	var evaluator analytic.Evaluator
@@ -212,7 +225,6 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
 		}
-		offsets[i] = total
 		if analyticAggs != nil {
 			agg, err := e.evalPoint(&evaluator, p)
 			if err != nil {
@@ -234,16 +246,9 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		}
 	}
 
-	// locate maps a global task index back to (point, replication).
-	locate := func(task int) (int, int) {
-		pt := 0
-		for pt+1 < len(points) && offsets[pt+1] <= task {
-			pt++
-		}
-		return pt, task - offsets[pt]
-	}
+	tasks := seedGroupOrder(points, aggs, total)
 	run := func(sim *simsrv.Simulator, res *simsrv.Result, task int) error {
-		pt, rep := locate(task)
+		pt, rep := tasks[task].point, tasks[task].rep
 		p := &points[pt]
 		seed := simsrv.ReplicationSeed(p.Cfg.Seed, rep)
 		var err error
@@ -264,8 +269,7 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		return nil
 	}
 	fold := func(task int, res *simsrv.Result) {
-		pt, _ := locate(task)
-		aggs[pt].Add(res)
+		aggs[tasks[task].point].Add(res)
 	}
 	if err := simsrv.RunOrdered(total, e.Workers, run, fold); err != nil {
 		return nil, err
@@ -284,6 +288,47 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		out[i] = agg
 	}
 	return out, nil
+}
+
+// task is one replication of one point.
+type task struct{ point, rep int }
+
+// seedGroupOrder lays out the DES points' (total) replications
+// seed-group-major: points sharing Cfg.Seed form a group, groups run in
+// order of first appearance, and within a group rep r of every member
+// (in point order) runs before rep r+1. Members then derive the same
+// replication streams back to back, so a worker records each stream
+// once and replays it for the rest (see simsrv.Simulator). Each point
+// still sees its reps in order 0..Runs-1. Points with a nil aggregator
+// (closed-form ones) get no tasks.
+func seedGroupOrder(points []Point, aggs []*simsrv.Aggregator, total int) []task {
+	group := make(map[uint64]int)
+	var members [][]int
+	for i := range points {
+		if aggs[i] == nil {
+			continue
+		}
+		g, ok := group[points[i].Cfg.Seed]
+		if !ok {
+			g = len(members)
+			group[points[i].Cfg.Seed] = g
+			members = append(members, nil)
+		}
+		members[g] = append(members[g], i)
+	}
+	tasks := make([]task, 0, total)
+	for _, m := range members {
+		for rep, more := 0, true; more; rep++ {
+			more = false
+			for _, pt := range m {
+				if rep < points[pt].Runs {
+					tasks = append(tasks, task{pt, rep})
+					more = true
+				}
+			}
+		}
+	}
+	return tasks
 }
 
 // evalPoint routes one point: a synthesized Aggregate when the closed
