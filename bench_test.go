@@ -343,7 +343,7 @@ func BenchmarkAblationPacketized(b *testing.B) {
 //
 // cmd/psdbench runs the same scenarios and emits BENCH_psd.json; CI runs
 // this benchmark with -benchtime 1x as an allocation smoke test and
-// psdbench -compare as the throughput gate.
+// psdbench -compare as the throughput and allocation gate.
 func BenchmarkReplication(b *testing.B) {
 	cases := []struct {
 		name       string

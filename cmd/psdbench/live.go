@@ -5,158 +5,86 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"psd/internal/httpsrv"
 )
 
-// The live-contention scenario measures the sharded front door of the
-// live server (internal/httpsrv) under in-process parallel load: N
-// client goroutines hammer the admitted path (admission → class queue →
-// paced service → striped completion accounting) through Server.Do,
-// once at GOMAXPROCS=1 and once at GOMAXPROCS=min(NumCPU, 8). The
-// ratio of the two throughputs is the scaling number the lock-free
-// redesign exists to improve — on the old single-mutex design every
-// request serialized on cr.mu, so the ratio pinned near (or below) 1
-// regardless of core count.
-//
-// Two gates in -compare mode:
-//
-//   - allocs/request ≤ allocsPerReqGate always: the steady-state
-//     admitted path must not allocate (jobs and completion channels are
-//     pooled, window accounting is striped atomics);
-//   - speedup, scaled to the hardware the run actually had: ≥ 0.5·P on
-//     a box with ≥ 4 cores (P = storm parallelism), ≥ 1.0 on 2–3
-//     cores, and skipped with a note on a single core, where "parallel"
-//     throughput is just context-switch overhead.
+// live-contention storms the live server's front door in-process:
+// liveClients goroutines each drive one request at a time through
+// Server.Do's admitted path. liveSize (2⁻⁶) is tiny against the 2 ms
+// reallocation window, so the storm stays on the contention path.
 const (
-	allocsPerReqGate = 0.01
-
-	// liveClients goroutines issue liveRequests requests in total,
-	// spread evenly across classes; each client blocks on its request's
-	// completion before issuing the next, so in-flight load stays
-	// bounded well under the queue capacity.
 	liveClients  = 16
 	liveRequests = 96_000
-
-	// liveSize is exactly representable (2⁻⁶) and tiny relative to the
-	// 2 ms reallocation window, so paced service never becomes the
-	// bottleneck and the measurement stays on the contention path.
-	liveSize = 0.015625
+	liveSize     = 0.015625
 )
 
-// liveSpeedupFloor returns the minimum acceptable parallel/serial
-// throughput ratio for a storm run at `procs` on a machine with `cores`
-// CPUs, and false when the hardware cannot support a meaningful gate.
-func liveSpeedupFloor(procs, cores int) (float64, bool) {
-	eff := procs
-	if cores < eff {
-		eff = cores
-	}
+// liveSpeedupFloor is the minimum parallel/serial throughput ratio of a
+// storm at `procs` on `cores` CPUs, or why one core has no floor.
+func liveSpeedupFloor(procs, cores int) (floor float64, skip string) {
 	switch {
 	case cores >= 4:
-		return 0.5 * float64(eff), true
+		return 0.5 * float64(min(procs, cores)), ""
 	case cores >= 2:
-		return 1.0, true
+		return 1.0, ""
 	default:
-		return 0, false
+		return 0, fmt.Sprintf("%d core(s); a parallel storm measures only scheduling overhead", cores)
 	}
 }
 
-// liveStorm runs one full storm at the given GOMAXPROCS and returns the
-// measured throughput and allocations per request. Each storm gets a
-// fresh server so the two passes are identical apart from parallelism.
+// liveStorm runs one storm at the given GOMAXPROCS against a fresh server
+// and returns its throughput and allocations per request.
 func liveStorm(deltas []float64, procs int) (reqsPerSec, allocsPerReq float64, err error) {
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-
-	srv, err := httpsrv.New(httpsrv.Config{
-		Deltas:          deltas,
-		TimeUnit:        time.Microsecond,
-		Window:          2000, // real reallocation ticks every 2 ms
-		WorkersPerClass: 2,
-	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	srv, err := httpsrv.New(httpsrv.Config{Deltas: deltas, TimeUnit: time.Microsecond, Window: 2000, WorkersPerClass: 2})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer srv.Close()
-
-	ctx := context.Background()
-	nc := len(deltas)
-	// Warm the job pool, the worker goroutines, and the metric catalog
-	// so one-time costs stay out of the measured section.
+	ctx, nc := context.Background(), len(deltas)
+	// Warm the job pool, the workers and the metric catalog.
 	for i := 0; i < 2048; i++ {
 		if _, st := srv.Do(ctx, i%nc, liveSize); st != httpsrv.Served {
 			return 0, 0, fmt.Errorf("warmup request rejected: %v", st)
 		}
 	}
-
-	perClient := liveRequests / liveClients
-	errs := make([]error, liveClients)
 	var wg sync.WaitGroup
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for g := 0; g < liveClients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			class := g % nc
-			for i := 0; i < perClient; i++ {
-				if _, st := srv.Do(ctx, class, liveSize); st != httpsrv.Served {
-					errs[g] = fmt.Errorf("client %d: request %d rejected: %v", g, i, st)
-					return
+	var rejected atomic.Int64
+	wall, mallocs, _ := measure(func() error {
+		for g := 0; g < liveClients; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < liveRequests/liveClients; i++ {
+					if _, st := srv.Do(ctx, g%nc, liveSize); st != httpsrv.Served {
+						rejected.Add(1)
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	runtime.ReadMemStats(&ms1)
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, e
+			}(g)
 		}
+		wg.Wait()
+		return nil
+	})
+	if n := rejected.Load(); n > 0 {
+		return 0, 0, fmt.Errorf("%d of %d storm requests rejected", n, liveRequests)
 	}
-	total := float64(perClient * liveClients)
-	return total / wall, float64(ms1.Mallocs-ms0.Mallocs) / total, nil
+	reqsPerSec, allocsPerReq = per(liveRequests, wall, mallocs)
+	return reqsPerSec, allocsPerReq, nil
 }
 
-// runLiveContention runs the serial baseline storm and the parallel
-// storm and reports throughput, speedup, and the allocation rate of the
-// parallel (contended) pass — the harder of the two for a pooled,
-// striped design to keep at zero.
-func runLiveContention(sc scenario) (scenarioResult, error) {
+// runLiveContention storms at GOMAXPROCS=1 and at min(NumCPU, 8), and
+// reports the contended storm's allocations and speedup.
+func runLiveContention(sc *scenario, _ []scenarioResult) (scenarioResult, error) {
 	cores := runtime.NumCPU()
-	procs := cores
-	if procs > 8 {
-		procs = 8
-	}
-	if procs < 2 {
-		procs = 2 // still storm with oversubscribed goroutines on 1 core
-	}
-
+	procs := max(min(cores, 8), 2) // on 1 core, still storm oversubscribed
 	serialRPS, _, err := liveStorm(sc.deltas, 1)
 	if err != nil {
 		return scenarioResult{}, err
 	}
 	parRPS, allocsPerReq, err := liveStorm(sc.deltas, procs)
-	if err != nil {
-		return scenarioResult{}, err
-	}
-
-	return scenarioResult{
-		Name:             sc.name,
-		Classes:          len(sc.deltas),
-		Model:            "live-contention",
-		Requests:         liveRequests,
-		WallSeconds:      float64(liveRequests)/serialRPS + float64(liveRequests)/parRPS,
-		ReqsPerSec:       parRPS,
-		SerialReqsPerSec: serialRPS,
-		Speedup:          parRPS / serialRPS,
-		StormProcs:       procs,
-		StormCores:       cores,
-		AllocsPerReq:     allocsPerReq,
-	}, nil
+	return scenarioResult{Requests: liveRequests, WallSeconds: liveRequests/serialRPS + liveRequests/parRPS,
+		ReqsPerSec: parRPS, SerialReqsPerSec: serialRPS, Speedup: parRPS / serialRPS,
+		StormProcs: procs, StormCores: cores, AllocsPerReq: allocsPerReq}, err
 }

@@ -118,16 +118,11 @@
 // paper-fidelity replications through one arena and gates allocs/event
 // (< 0.01, both server models) and allocs/replication (< 10);
 // BenchmarkFigureSweep tracks full-figure throughput; cmd/psdbench runs
-// the same scenarios — plus control-tick and obs-hotpath scenarios
-// gating the shared control plane and the fully instrumented request
-// path (metrics + flight recorder) at zero allocations, and a
-// live-contention scenario storming the live server's sharded front
-// door at GOMAXPROCS=1 vs min(NumCPU,8) with core-aware speedup and
-// 0.01 allocs/request gates, and an analytic-sweep scenario gating the
-// closed-form fast path (internal/analytic via the sweep router) at
-// >= 100x over the DES sweep and < 0.01 allocs/point — writes the
-// committed BENCH_psd.json baseline, and in -compare mode turns
-// regressions into non-zero exits (CI runs it).
+// the same scenarios plus the policy tournament, the control tick, the
+// instrumented request path, the live front door and the closed-form
+// fast path, writes the committed BENCH_psd.json baseline, and in
+// -compare mode turns regressions into non-zero exits (CI runs it).
+// Each scenario's gates live in its row of psdbench's scenario table.
 // For stationary fixed-rate points, EvaluateAnalytic (or -engine auto
 // on the CLIs) skips simulation entirely and returns the paper's
 // closed forms exactly.

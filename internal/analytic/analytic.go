@@ -31,8 +31,8 @@
 //
 // The evaluator itself is an arena: Evaluator.EvaluateInto reuses every
 // slice it owns, so a warm evaluation performs zero heap allocations
-// (cmd/psdbench gates this at 0.01 allocs/point, like every other hot
-// path in the repo).
+// (cmd/psdbench's analytic-sweep scenario gates this at 0.01
+// allocs/point).
 package analytic
 
 import (
@@ -89,8 +89,9 @@ func Evaluate(cfg simsrv.Config) (*Evaluation, error) {
 // class vector and allocation scratch persist across calls, so a warm
 // EvaluateInto allocates nothing.
 type Evaluator struct {
-	classes []core.Class
-	alloc   core.Allocation
+	classes   []core.Class
+	allocator core.Resolved
+	alloc     core.Allocation
 }
 
 // EvaluateInto computes cfg's closed-form result into ev, reusing ev's
@@ -120,7 +121,8 @@ func (e *Evaluator) EvaluateInto(ev *Evaluation, cfg simsrv.Config) error {
 	// The allocator sees the shared-law moments — exactly what the
 	// control plane feeds it (per-class overrides deliberately keep this
 	// mismatch; see runner.reset).
-	if err := core.AllocateInto(cfg.Allocator, &e.alloc, e.classes, w); err != nil {
+	e.allocator.Use(cfg.Allocator)
+	if err := e.allocator.AllocateInto(&e.alloc, e.classes, w); err != nil {
 		return fmt.Errorf("%w: allocator %s: %w", ErrNeedsSimulation, cfg.Allocator.Name(), err)
 	}
 

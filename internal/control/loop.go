@@ -186,7 +186,7 @@ type Loop struct {
 	kind      EstimatorKind
 	history   int
 	alpha     float64
-	allocator core.Allocator
+	allocator core.Resolved
 	workload  core.Workload
 	fromWork  bool
 	feedback  bool
@@ -269,7 +269,7 @@ func (lp *Loop) Reset(cfg LoopConfig) error {
 	lp.kind = cfg.Estimator
 	lp.history = cfg.HistoryWindows
 	lp.alpha = cfg.EWMAAlpha
-	lp.allocator = cfg.Allocator
+	lp.allocator.Use(cfg.Allocator)
 	lp.workload = cfg.Workload
 	lp.fromWork = cfg.EstimateFromWork
 	lp.feedback = cfg.Feedback
@@ -475,7 +475,7 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		lp.lambdas[i] = l // scratch now holds what the allocator sees
 		lp.allocClasses[i] = core.Class{Delta: lp.effDeltas[i], Lambda: l}
 	}
-	err := core.AllocateInto(lp.allocator, &lp.alloc, lp.allocClasses, lp.workload)
+	err := lp.allocator.AllocateInto(&lp.alloc, lp.allocClasses, lp.workload)
 	if lp.rec != nil {
 		lp.recordTick(slowdowns, err)
 	}
@@ -521,7 +521,7 @@ func (lp *Loop) AllocateDeclared(lambdas []float64) (*core.Allocation, error) {
 	for i := 0; i < lp.classes; i++ {
 		lp.allocClasses[i] = core.Class{Delta: lp.deltas[i], Lambda: lambdas[i]}
 	}
-	if err := core.AllocateInto(lp.allocator, &lp.alloc, lp.allocClasses, lp.workload); err != nil {
+	if err := lp.allocator.AllocateInto(&lp.alloc, lp.allocClasses, lp.workload); err != nil {
 		return nil, err
 	}
 	return &lp.alloc, nil

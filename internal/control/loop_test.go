@@ -422,6 +422,83 @@ func TestLoopAllocateDeclared(t *testing.T) {
 	}
 }
 
+// scaledPSD is a non-comparable allocator (a slice field) with no
+// in-place path: the Loop must take its Allocate fallback, and telling
+// it apart from the previous allocator must not panic.
+type scaledPSD struct{ scale []float64 }
+
+func (scaledPSD) Name() string { return "scaled-psd" }
+
+func (a scaledPSD) Allocate(classes []core.Class, w core.Workload) (core.Allocation, error) {
+	alloc, err := core.PSD{}.Allocate(classes, w)
+	for i := range alloc.Rates {
+		alloc.Rates[i] *= a.scale[i]
+	}
+	return alloc, err
+}
+
+// TestLoopResetResolvesAllocator switches the allocator across Resets,
+// including to and between non-comparable, non-in-place allocators, and
+// checks each declared allocation against the allocator run directly.
+func TestLoopResetResolvesAllocator(t *testing.T) {
+	lambdas := []float64{0.3, 0.2}
+	classes := []core.Class{{Delta: 1, Lambda: 0.3}, {Delta: 2, Lambda: 0.2}}
+	lp, err := NewLoop(loopConfig([]float64{1, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, al := range []core.Allocator{
+		core.EqualShare{}, scaledPSD{[]float64{1, 0.5}}, scaledPSD{[]float64{0.5, 1}},
+		core.PSD{}, core.PSD{}, core.MinRate{Base: core.PSD{}, Min: 0.3}, core.MinRate{Base: core.PSD{}, Min: 0.2},
+	} {
+		cfg := loopConfig([]float64{1, 2})
+		cfg.Allocator = al
+		if err := lp.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := lp.AllocateDeclared(lambdas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := al.Allocate(classes, testWorkload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Rates {
+			if got.Rates[i] != want.Rates[i] {
+				t.Fatalf("%s %v: rates %v, want %v", al.Name(), al, got.Rates, want.Rates)
+			}
+		}
+	}
+}
+
+// TestLoopResetSameAllocatorAllocFree gates a Reset that keeps its
+// allocator, followed by a tick, at zero allocations: it is the
+// per-replication path of every simulator arena.
+func TestLoopResetSameAllocatorAllocFree(t *testing.T) {
+	cfg := loopConfig([]float64{1, 2, 4})
+	cfg.Allocator = core.Downgrading{Base: core.PSD{}}
+	lp, err := NewLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TickInput{Counts: []float64{20, 15, 10}, Work: []float64{12, 9, 6}}
+	if _, err := lp.Tick(in); err != nil { // warm the allocation buffers
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if err := lp.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lp.Tick(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("%.2f allocs per Reset+Tick, want 0", avg)
+	}
+}
+
 func TestEstimatorKindParsing(t *testing.T) {
 	for _, tc := range []struct {
 		s    string

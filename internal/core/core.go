@@ -33,9 +33,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"psd/internal/dist"
-	"psd/internal/queueing"
 )
 
 // Class describes one request class's contract and current demand.
@@ -143,6 +143,36 @@ func AllocateInto(al Allocator, dst *Allocation, classes []Class, w Workload) er
 	dst.ExpectedSlowdowns = append(dst.ExpectedSlowdowns[:0], a.ExpectedSlowdowns...)
 	dst.Utilization = a.Utilization
 	return nil
+}
+
+// Resolved runs one allocator through its in-place path without a type
+// assertion per call: a failed assertion to an interface may rebuild the
+// runtime's per-call-site cache, a heap allocation, so the hot callers
+// (control.Loop's tick, the analytic Evaluator) resolve the allocator
+// once and reuse the result while it stays the same.
+type Resolved struct {
+	al  Allocator
+	ipa InPlaceAllocator // al's in-place form, or nil
+}
+
+// Use makes al the allocator AllocateInto runs. It asserts al's in-place
+// form only when al differs from the current allocator; a value of a
+// non-comparable type always counts as different.
+func (r *Resolved) Use(al Allocator) {
+	same := al != nil && r.al != nil && reflect.ValueOf(al).Comparable() &&
+		reflect.ValueOf(r.al).Comparable() && al == r.al
+	if !same {
+		r.al = al
+		r.ipa, _ = al.(InPlaceAllocator)
+	}
+}
+
+// AllocateInto is the package-level AllocateInto for the current allocator.
+func (r *Resolved) AllocateInto(dst *Allocation, classes []Class, w Workload) error {
+	if r.ipa != nil {
+		return r.ipa.AllocateInto(dst, classes, w)
+	}
+	return AllocateInto(r.al, dst, classes, w)
 }
 
 // reserve sizes the allocation's slices for n classes, reusing capacity.
@@ -299,18 +329,4 @@ func Feasible(classes []Class, w Workload) bool {
 	return err == nil
 }
 
-// MaxStableLoad returns the largest total utilization ρ < 1 at which the
-// PSD allocation keeps every class's queue stable. For the PSD allocator
-// any ρ < 1 is stable (each class receives strictly more than its demand
-// whenever λ_i > 0), so this returns 1 as the supremum; it exists for API
-// symmetry with allocators whose stability region is smaller.
-func MaxStableLoad(Allocator) float64 { return 1 }
-
 var _ InPlaceAllocator = PSD{}
-
-// TheoremSlowdown re-exports Theorem 1 via the queueing package for
-// convenience: mean slowdown of a λ-rate class on a rate-r task server
-// whose job sizes follow d.
-func TheoremSlowdown(lambda float64, d dist.Distribution, rate float64) (float64, error) {
-	return queueing.TaskServerSlowdown(lambda, d, rate)
-}

@@ -287,18 +287,12 @@ func TestP2PanicsOnBadQuantile(t *testing.T) {
 }
 
 func TestWindowSeries(t *testing.T) {
-	s, err := NewWindowSeries(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := WindowSeries{Width: 1000}
 	s.Observe(0, 2)
 	s.Observe(999.9, 4)
 	s.Observe(1000, 10)
 	s.Observe(2500, 7)
 	s.Observe(-5, 100) // ignored
-	if s.NumWindows() != 3 {
-		t.Fatalf("windows = %d", s.NumWindows())
-	}
 	m, ok := s.WindowMean(0)
 	if !ok || m != 3 {
 		t.Fatalf("window 0 mean = %v ok=%v", m, ok)
@@ -307,24 +301,23 @@ func TestWindowSeries(t *testing.T) {
 	if !ok || m != 10 {
 		t.Fatalf("window 1 mean = %v", m)
 	}
+	m, ok = s.WindowMean(2)
+	if !ok || m != 7 {
+		t.Fatalf("window 2 mean = %v", m)
+	}
 	if _, ok := s.WindowMean(5); ok {
 		t.Fatal("out-of-range window should report !ok")
 	}
-	if s.WindowCount(2) != 1 {
-		t.Fatalf("window 2 count = %d", s.WindowCount(2))
+	s.Reset()
+	if _, ok := s.WindowMean(0); ok {
+		t.Fatal("Reset kept window 0")
 	}
-	times, means := s.Means()
-	if len(times) != 3 || len(means) != 3 {
-		t.Fatalf("Means lengths %d %d", len(times), len(means))
+	s.Observe(1500, 4)
+	if _, ok := s.WindowMean(0); ok {
+		t.Fatal("window 0 has no observations after Reset")
 	}
-	if times[0] != 0 || times[1] != 1000 || times[2] != 2000 {
-		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestWindowSeriesValidation(t *testing.T) {
-	if _, err := NewWindowSeries(0); err == nil {
-		t.Error("accepted zero width")
+	if m, ok := s.WindowMean(1); !ok || m != 4 {
+		t.Fatalf("window 1 mean after Reset = %v ok=%v", m, ok)
 	}
 }
 
